@@ -18,33 +18,33 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::work_on_job(const std::function<void(std::size_t)>& fn,
-                             std::size_t n) {
+void ThreadPool::run_indices(Job& job) {
   for (;;) {
-    const auto i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= n) return;
-    fn(i);
-    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_cv_.notify_all();
-    }
+    const auto i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    (*job.fn)(i);
   }
 }
 
 void ThreadPool::worker_loop() {
   std::uint64_t seen = 0;
   for (;;) {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t n = 0;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      job_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      job_cv_.wait(lock, [&] {
+        return stop_ || (job_ != nullptr && generation_ != seen);
+      });
       if (stop_) return;
       seen = generation_;
-      fn = fn_;
-      n = n_;
+      job = job_;
+      ++job->active;
     }
-    work_on_job(*fn, n);
+    run_indices(*job);
+    // Last touch of *job: once active drops to 0 under the lock, the
+    // coordinator may return and the job record goes out of scope.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--job->active == 0) done_cv_.notify_all();
   }
 }
 
@@ -54,21 +54,20 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  Job job{&fn, n};
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    fn_ = &fn;
-    n_ = n;
-    next_.store(0, std::memory_order_relaxed);
-    done_.store(0, std::memory_order_relaxed);
+    job_ = &job;
     ++generation_;
   }
   job_cv_.notify_all();
-  work_on_job(fn, n);
+  run_indices(job);
+  // Every index is now claimed, each either run here or held by a worker
+  // that is still counted in job.active.  Unpublish so no late waker can
+  // join, then wait for the joined workers to leave.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] {
-    return done_.load(std::memory_order_acquire) == n_;
-  });
-  fn_ = nullptr;
+  job_ = nullptr;
+  done_cv_.wait(lock, [&] { return job.active == 0; });
 }
 
 }  // namespace gretel::util

@@ -9,6 +9,15 @@
 // indexed by i and reduce serially afterwards get bit-identical results for
 // any pool size, including zero (a pool with 0 threads runs everything
 // inline on the caller).
+//
+// Job ownership: each parallel_for() call owns its job record (fn, n, the
+// next-index counter and the count of workers inside the job) on the
+// coordinator's stack, and publishes a pointer to it under the lock.  A
+// worker joins a job only under the lock and only while that job is still
+// published, and registers as active when it does.  parallel_for() does not
+// return while any worker is inside the job: it unpublishes the job and
+// waits for the active count to reach zero.  So a worker that wakes late
+// can never claim indices of a later job with an earlier job's fn or n.
 #pragma once
 
 #include <atomic>
@@ -40,21 +49,26 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& fn);
 
  private:
+  // One parallel_for call's job; lives on the coordinator's stack.
+  struct Job {
+    const std::function<void(std::size_t)>* fn;
+    std::size_t n;
+    std::atomic<std::size_t> next{0};  // next unclaimed index
+    std::size_t active = 0;            // workers inside; guarded by mutex_
+  };
+
   void worker_loop();
-  void work_on_job(const std::function<void(std::size_t)>& fn,
-                   std::size_t n);
+  static void run_indices(Job& job);
 
   std::mutex mutex_;
   std::condition_variable job_cv_;   // workers wait for a new generation
-  std::condition_variable done_cv_;  // coordinator waits for completion
+  std::condition_variable done_cv_;  // coordinator waits for workers to leave
   bool stop_ = false;
 
-  // Current job, published under mutex_ with a generation bump.
+  // Current job, published under mutex_ with a generation bump and
+  // unpublished (nullptr) before parallel_for waits for the workers.
   std::uint64_t generation_ = 0;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t n_ = 0;
-  std::atomic<std::size_t> next_{0};  // next unclaimed index
-  std::atomic<std::size_t> done_{0};  // indices completed
+  Job* job_ = nullptr;
 
   std::vector<std::thread> workers_;
 };

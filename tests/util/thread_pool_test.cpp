@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -61,6 +62,42 @@ TEST(ThreadPool, EmptyAndSingleJobs) {
   EXPECT_EQ(calls, 0);
   pool.parallel_for(1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+// Back-to-back jobs whose size changes every call, on more threads than
+// cores, each with a fresh temporary std::function: a worker that woke for
+// one job must never claim indices of the next with the earlier fn or n.
+TEST(ThreadPool, BackToBackJobsOfVaryingSize) {
+  ThreadPool pool(8);
+  constexpr int kJobs = 100000;
+  constexpr std::size_t kMaxN = 36;
+  std::vector<std::atomic<int>> hits(kMaxN);
+  std::atomic<std::uint64_t> out_of_range{0};
+  std::uint64_t bad_jobs = 0;
+  int first_bad_job = -1;
+  for (int job = 0; job < kJobs; ++job) {
+    const std::size_t n = 4 + 8 * static_cast<std::size_t>(job % 5);
+    pool.parallel_for(n, [&hits, &out_of_range, n](std::size_t i) {
+      if (i >= n) {
+        out_of_range.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    bool ok = true;
+    for (std::size_t i = 0; i < kMaxN; ++i) {
+      const int expected = i < n ? 1 : 0;
+      if (hits[i].exchange(0, std::memory_order_relaxed) != expected) {
+        ok = false;
+      }
+    }
+    if (!ok) {
+      ++bad_jobs;
+      if (first_bad_job < 0) first_bad_job = job;
+    }
+  }
+  EXPECT_EQ(out_of_range.load(), 0u);
+  EXPECT_EQ(bad_jobs, 0u) << "first bad job: " << first_bad_job;
 }
 
 }  // namespace
